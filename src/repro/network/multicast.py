@@ -16,8 +16,9 @@ omega network, plus the combined scheme of eq. 8:
   (``2**l`` destinations whose addresses differ in ``l`` fixed bit
   positions); delivering to an arbitrary set means covering it with the
   minimal enclosing subcube and over-delivering.
-* **Combined scheme** (:func:`multicast_combined`, eq. 8) -- probe all three
-  and commit whichever is cheapest.
+* **Combined scheme** (:func:`multicast_combined`, eq. 8) -- price all
+  three exactly from counts of the destination bits
+  (:func:`_combined_costs`), then build and commit only the cheapest.
 
 Every function both *measures* (returns the exact per-link loads) and
 *accounts* (increments the network's link and switch counters), so closed
@@ -32,7 +33,11 @@ common case, since the §4 Markov workloads cycle blocks through a small
 set of present-flag vectors -- replay the plan with bit-identical loads
 and counter increments.  Destinations are validated once, when the plan is
 built; the memoised fast path skips re-validation (an invalid set can
-never hit, because plans are only cached after validating).
+never hit, because plans are only cached after validating).  The combined
+scheme caches its six counts the same way, under its own
+``(COMBINED, source, destination set)`` key, and validates before caching
+them; with memoisation off (``network.route_plans = None``) it takes the
+same selection code and only skips the cache.
 """
 
 from __future__ import annotations
@@ -117,18 +122,17 @@ def _scheme_plan(
     scheme: MulticastScheme,
     source: NodeId,
     dest_set: frozenset[NodeId],
-    builder,
 ) -> RoutePlan:
     """Fetch (or build, validate and cache) the plan for one scheme send."""
     cache = getattr(network, "route_plans", None)
     if cache is None:
         _as_destset(network, dest_set)
-        return builder(network, source, dest_set)
+        return _BUILDERS[scheme](network, source, dest_set)
     key = (scheme, source, dest_set)
     plan = cache.get(key)
     if plan is None:
         _as_destset(network, dest_set)
-        plan = builder(network, source, dest_set)
+        plan = _BUILDERS[scheme](network, source, dest_set)
         cache.put(key, plan)
     return plan
 
@@ -198,9 +202,7 @@ def _payload_scheme1(
     dest_set: frozenset[NodeId],
     commit: bool,
 ) -> MulticastResult:
-    plan = _scheme_plan(
-        network, MulticastScheme.UNICAST, source, dest_set, _build_scheme1_plan
-    )
+    plan = _scheme_plan(network, MulticastScheme.UNICAST, source, dest_set)
     return _replay(network, plan, payload_bits, commit)
 
 
@@ -285,9 +287,7 @@ def _payload_scheme2(
     dest_set: frozenset[NodeId],
     commit: bool,
 ) -> MulticastResult:
-    plan = _scheme_plan(
-        network, MulticastScheme.VECTOR, source, dest_set, _build_scheme2_plan
-    )
+    plan = _scheme_plan(network, MulticastScheme.VECTOR, source, dest_set)
     return _replay(network, plan, payload_bits, commit)
 
 
@@ -407,11 +407,7 @@ def _payload_scheme3(
     if not dest_set:
         raise MulticastError("scheme 3 needs at least one destination")
     plan = _scheme_plan(
-        network,
-        MulticastScheme.BROADCAST_TAG,
-        source,
-        dest_set,
-        _build_scheme3_plan,
+        network, MulticastScheme.BROADCAST_TAG, source, dest_set
     )
     if exact and plan.over_delivers:
         raise MulticastError(
@@ -446,47 +442,104 @@ def multicast_scheme3(
     )
 
 
+_BUILDERS = {
+    MulticastScheme.UNICAST: _build_scheme1_plan,
+    MulticastScheme.VECTOR: _build_scheme2_plan,
+    MulticastScheme.BROADCAST_TAG: _build_scheme3_plan,
+}
+
+
 # ----------------------------------------------------------------------
 # Combined scheme (eq. 8)
 # ----------------------------------------------------------------------
 
 
-def _combined_plans(
+def _combined_costs(
     network: OmegaNetwork,
     source: NodeId,
     dest_set: frozenset[NodeId],
-) -> tuple[RoutePlan, RoutePlan, RoutePlan]:
-    """The three candidate plans of eq. 8, cached as one tuple."""
+) -> tuple[int, int, int, int, int, int]:
+    """``(n_loads, tag_total)`` of schemes 1, 2 and 3, without any plan.
+
+    Returns the six counts flattened as ``(n1, t1, n2, t2, n3, t3)``; the
+    bits scheme ``s`` places on links for payload ``M`` are then
+    ``n_s * M + t_s``, exactly :meth:`RoutePlan.cost_for` of its plan.
+    The counts follow from the destination bits alone (the omega network
+    routes every source through the same number of links):
+
+    * scheme 1 -- ``n`` unicasts of ``m + 1`` links each, carrying
+      ``m, m-1, .., 0`` tag bits: ``n(m+1)`` loads, ``n m(m+1)/2`` bits;
+    * scheme 2 -- one link per distinct destination prefix of ``l`` bits
+      at each level ``l``, carrying ``N >> l`` tag bits.  In sorted order,
+      two neighbours whose highest differing bit is ``h`` (1-based) add a
+      new prefix at each of the ``h`` deepest levels, so the sums are
+      ``(m+1) + sum h`` loads and ``(2N-1) + sum (2**h - 1)`` bits;
+    * scheme 3 -- at level ``l``, ``2**b`` links of ``2(m-l)`` tag bits,
+      where ``b`` counts the broadcast bits among the top ``l`` bits of the
+      minimal enclosing subcube's varying mask.
+
+    Eq. 2 (scheme 1), eqs. 3 and 6 (scheme 2's worst cases) and eq. 5
+    (scheme 3) of :mod:`repro.network.cost` are these counts, times ``M``
+    and summed, for the paper's placements; here they cover arbitrary
+    destination sets, which is what makes the choice exact.
+    ``dest_set`` must be validated and non-empty.
+    """
+    m = network.n_stages
+    n = len(dest_set)
+    ordered = sorted(dest_set)
+    first = previous = ordered[0]
+    loads2 = m + 1
+    tags2 = 2 * network.n_ports - 1
+    varying = 0
+    for dest in ordered:
+        high = (previous ^ dest).bit_length()
+        loads2 += high
+        tags2 += (1 << high) - 1
+        varying |= first ^ dest
+        previous = dest
+    loads3 = tags3 = 0
+    width = 1
+    for level in range(m + 1):
+        loads3 += width
+        tags3 += width * 2 * (m - level)
+        if level < m and (varying >> (m - 1 - level)) & 1:
+            width <<= 1
+    return (n * (m + 1), n * m * (m + 1) // 2, loads2, tags2, loads3, tags3)
+
+
+def _combined_plan(
+    network: OmegaNetwork,
+    source: NodeId,
+    dest_set: frozenset[NodeId],
+    payload_bits: int,
+) -> RoutePlan:
+    """The eq. 8 winner for ``payload_bits``, the only plan ever built.
+
+    The six counts of :func:`_combined_costs` are cached under the
+    ``(COMBINED, source, dest_set)`` key; each send prices the three
+    schemes from them and fetches (or builds) the cheapest.  Ties break
+    in scheme order 1, 2, 3, as ``min()`` over the three plans would.
+    """
     cache = getattr(network, "route_plans", None)
     key = (MulticastScheme.COMBINED, source, dest_set)
-    plans = cache.get(key) if cache is not None else None
-    if plans is None:
-        plans = (
-            _scheme_plan(
-                network,
-                MulticastScheme.UNICAST,
-                source,
-                dest_set,
-                _build_scheme1_plan,
-            ),
-            _scheme_plan(
-                network,
-                MulticastScheme.VECTOR,
-                source,
-                dest_set,
-                _build_scheme2_plan,
-            ),
-            _scheme_plan(
-                network,
-                MulticastScheme.BROADCAST_TAG,
-                source,
-                dest_set,
-                _build_scheme3_plan,
-            ),
+    costs = cache.get(key) if cache is not None else None
+    if costs is None:
+        costs = _combined_costs(
+            network, source, _as_destset(network, dest_set)
         )
         if cache is not None:
-            cache.put(key, plans)
-    return plans
+            cache.put(key, costs)
+    loads1, tags1, loads2, tags2, loads3, tags3 = costs
+    cost1 = loads1 * payload_bits + tags1
+    cost2 = loads2 * payload_bits + tags2
+    cost3 = loads3 * payload_bits + tags3
+    if cost1 <= cost2 and cost1 <= cost3:
+        scheme = MulticastScheme.UNICAST
+    elif cost2 <= cost3:
+        scheme = MulticastScheme.VECTOR
+    else:
+        scheme = MulticastScheme.BROADCAST_TAG
+    return _scheme_plan(network, scheme, source, dest_set)
 
 
 def _payload_combined(
@@ -500,9 +553,8 @@ def _payload_combined(
         return MulticastResult(
             MulticastScheme.COMBINED, source, dest_set, dest_set, ()
         )
-    plans = _combined_plans(network, source, dest_set)
-    best = min(plans, key=lambda plan: plan.cost_for(payload_bits))
-    return _replay(network, best, payload_bits, commit)
+    plan = _combined_plan(network, source, dest_set, payload_bits)
+    return _replay(network, plan, payload_bits, commit)
 
 
 def multicast_combined(
@@ -512,15 +564,16 @@ def multicast_combined(
     *,
     commit: bool = True,
 ) -> MulticastResult:
-    """Probe schemes 1, 2 and 3 and commit the cheapest (eq. 8).
+    """Commit the cheapest of schemes 1, 2 and 3 (eq. 8).
 
     Scheme 3 competes with its minimal enclosing subcube (over-delivering
     where the destination set is not itself a subcube), mirroring §3.4 where
     it addresses the whole block of ``n1`` adjacently-placed tasks.
 
-    With memoised plans the probe is O(1) arithmetic per candidate
-    (``n_loads * M + tag_total``), not three fabric walks; ties break in
-    scheme order 1, 2, 3, exactly like the original probe-all-three path.
+    Each candidate is priced as ``n_loads * M + tag_total`` from the exact
+    counts of :func:`_combined_costs`, with no fabric walk; only the winner's
+    plan is built.  Ties break in scheme order 1, 2, 3, so the choice equals
+    ``min()`` over the three built plans' costs.
     """
     return _payload_combined(
         network, message.source, message.payload_bits, _freeze(dests), commit
@@ -626,33 +679,11 @@ def multicast_plan_for(
         # A single destination is plain unicast under every scheme.
         (dest,) = dest_set
         return unicast_plan(network, source, dest)
-    if scheme is MulticastScheme.BROADCAST_TAG:
-        # The send path over-delivers (exact=False) for arbitrary sets.
-        return _scheme_plan(
-            network,
-            MulticastScheme.BROADCAST_TAG,
-            source,
-            dest_set,
-            _build_scheme3_plan,
-        )
     if scheme is MulticastScheme.COMBINED:
-        plans = _combined_plans(network, source, dest_set)
-        return min(plans, key=lambda plan: plan.cost_for(payload_bits))
-    if scheme is MulticastScheme.UNICAST:
-        return _scheme_plan(
-            network,
-            MulticastScheme.UNICAST,
-            source,
-            dest_set,
-            _build_scheme1_plan,
-        )
-    return _scheme_plan(
-        network,
-        MulticastScheme.VECTOR,
-        source,
-        dest_set,
-        _build_scheme2_plan,
-    )
+        return _combined_plan(network, source, dest_set, payload_bits)
+    # Scheme 3 over-delivers (exact=False) for arbitrary sets, as on the
+    # send path.
+    return _scheme_plan(network, scheme, source, dest_set)
 
 
 class Multicaster:

@@ -21,7 +21,8 @@ Two classes:
   :meth:`~repro.network.topology.OmegaNetwork.apply_plan_traffic`.
   ``cost_for(M)`` and ``loads_for(M)`` reconstitute the exact per-payload
   numbers the switch-by-switch walk would have produced.
-* :class:`RoutePlanCache` -- a bounded LRU of plans.  Each
+* :class:`RoutePlanCache` -- a bounded LRU of plans (plus the combined
+  scheme's eq. 8 price tuples, which let it build only the winner).  Each
   :class:`~repro.network.topology.OmegaNetwork` instance owns one, so plans
   can never leak across topologies: a different network (or port count)
   starts from an empty cache, and :meth:`OmegaNetwork.reset_traffic` zeroes
@@ -191,6 +192,12 @@ class RoutePlanCache:
     by ownership and plans can never be replayed against a network with
     different wiring.  ``hits`` / ``misses`` make the cache observable
     (the perf harness reports the hit rate).
+
+    Values are usually plans, but not always: a
+    ``(MulticastScheme.COMBINED, source, dests)`` entry holds the eq. 8
+    price tuple ``(n1, t1, n2, t2, n3, t3)`` of
+    :func:`~repro.network.multicast._combined_costs`, and the winning
+    scheme's plan is cached under that scheme's own key.
     """
 
     __slots__ = ("maxsize", "hits", "misses", "_plans")
@@ -204,7 +211,7 @@ class RoutePlanCache:
         self._plans: OrderedDict[Hashable, object] = OrderedDict()
 
     def get(self, key: Hashable) -> object | None:
-        """The cached plan for ``key``, refreshing its LRU position."""
+        """The cached value for ``key``, refreshing its LRU position."""
         plan = self._plans.get(key)
         if plan is None:
             self.misses += 1

@@ -1,9 +1,9 @@
 """The §5 hardware scheme selector: break-even registers.
 
 The combined scheme of eq. 8 needs to know which of schemes 1, 2 and 3 is
-cheapest for the current destination count.  Probing all three per message
-(what :func:`~repro.network.multicast.multicast_combined` does) is the
-oracle; §5 sketches the hardware realisation:
+cheapest for the current destination count.  Pricing all three exactly
+per message (what :func:`~repro.network.multicast.multicast_combined` does)
+is the oracle; §5 sketches the hardware realisation:
 
     "It should be possible for the compiler to determine both the message
     size and the maximum number of tasks and consequently break-even.

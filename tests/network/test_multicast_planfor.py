@@ -93,6 +93,38 @@ def test_scaled_replay_matches_repeated_sends():
     assert scaled.bits_by_level() == repeated.bits_by_level()
 
 
+def test_combined_plan_is_the_object_send_payload_commits():
+    # Two destinations across the top address bit: scheme 1 is cheapest
+    # for small payloads and scheme 3 (whose subcube is exactly the pair)
+    # for large ones, so the eq. 8 winner changes with the payload.
+    network = OmegaNetwork(64)
+    dest_set = frozenset({0, 32})
+    committed = []
+    apply_plan_traffic = network.apply_plan_traffic
+
+    def record(plan, payload_bits):
+        committed.append(plan)
+        apply_plan_traffic(plan, payload_bits)
+
+    network.apply_plan_traffic = record
+    caster = Multicaster(network, MulticastScheme.COMBINED)
+    winners = []
+    for payload_bits in (0, 20, 64, 512, 0):
+        plan = multicast_plan_for(
+            network, MulticastScheme.COMBINED, 5, dest_set, payload_bits
+        )
+        caster.send_payload(5, payload_bits, dest_set)
+        assert committed[-1] is plan
+        winners.append(plan.scheme)
+    assert winners == [
+        MulticastScheme.UNICAST,
+        MulticastScheme.UNICAST,
+        MulticastScheme.BROADCAST_TAG,
+        MulticastScheme.BROADCAST_TAG,
+        MulticastScheme.UNICAST,
+    ]
+
+
 def test_single_destination_is_unicast_under_every_scheme():
     network = OmegaNetwork(8)
     for scheme in SCHEMES:

@@ -153,7 +153,7 @@ class TestPlanLifecycle:
 
     def test_combined_rechooses_winner_per_payload(self):
         # The break-even between schemes depends on the payload size, so
-        # a cached combined plan triple must re-probe per message.
+        # the cached combined counts must be re-priced per message.
         network = OmegaNetwork(64)
         dests = frozenset(range(32))
         small = multicast_combined(network, _message(0, 0), dests)
