@@ -91,6 +91,11 @@ class WorkloadSpec:
             raise ConfigurationError(
                 f"workload kind {self.kind!r} needs a non-empty tasks tuple"
             )
+        if self.block_size_words < 1:
+            raise ConfigurationError(
+                f"block_size_words must be at least 1, "
+                f"got {self.block_size_words}"
+            )
 
     # ------------------------------------------------------------------
 

@@ -10,9 +10,10 @@ stream as five parallel ``array('q')`` columns::
 
 with ``ops[i]`` equal to 1 for a write and 0 for a read.  The batched loop
 in :func:`repro.sim.engine.run_trace` iterates the columns directly (C-speed
-``zip`` over arrays, no NamedTuple construction), and the workload
-generators can emit straight into the columns through
-:func:`trace_builder` without ever materialising a ``Reference``.
+``zip`` over arrays, no NamedTuple construction), and every workload
+generator emits straight into the columns without ever materialising a
+``Reference`` (the list form is :meth:`CompiledTrace.to_trace` of the
+same columns).
 
 Both forms describe *exactly* the same stream: ``Trace.compile()`` /
 :meth:`CompiledTrace.to_trace` round-trip losslessly, the text format of
@@ -35,6 +36,7 @@ from repro.types import Address, Op, Reference
 
 _WRITE = 1
 _READ = 0
+_OPS = (Op.READ, Op.WRITE)
 
 
 class CompiledTrace:
@@ -143,15 +145,15 @@ class CompiledTrace:
         return len(self.nodes)
 
     def __iter__(self) -> Iterator[Reference]:
-        for node, op, block, offset, value in zip(
-            self.nodes, self.ops, self.blocks, self.offsets, self.values
-        ):
-            yield Reference(
-                node,
-                Op.WRITE if op else Op.READ,
-                Address(block, offset),
-                value,
-            )
+        # map() keeps the per-reference loop in C; validate() has already
+        # confined the op column to 0 (read) and 1 (write).
+        return map(
+            Reference,
+            self.nodes,
+            map(_OPS.__getitem__, self.ops),
+            map(Address, self.blocks, self.offsets),
+            self.values,
+        )
 
     def __getitem__(self, item):
         if isinstance(item, slice):
@@ -237,12 +239,17 @@ class CompiledTrace:
 
 
 # ----------------------------------------------------------------------
-# Builders: how the workload generators emit either form
+# Builder: how the deterministic workload generators emit columns
 # ----------------------------------------------------------------------
 
 
 class CompiledTraceBuilder:
-    """Accumulates references straight into columns (no ``Reference``)."""
+    """Accumulates references straight into columns (no ``Reference``).
+
+    The seeded generators fill preallocated columns inline instead; either
+    way every generator builds a :class:`CompiledTrace` and hands out
+    :meth:`CompiledTrace.to_trace` when asked for the list form.
+    """
 
     __slots__ = (
         "n_nodes",
@@ -287,45 +294,6 @@ class CompiledTraceBuilder:
             self.n_nodes,
             self.block_size_words,
         )
-
-
-class ReferenceTraceBuilder:
-    """Accumulates :class:`Reference` objects (the classic ``Trace``)."""
-
-    __slots__ = ("n_nodes", "block_size_words", "_references")
-
-    def __init__(self, n_nodes: int, block_size_words: int) -> None:
-        self.n_nodes = n_nodes
-        self.block_size_words = block_size_words
-        self._references: list[Reference] = []
-
-    def read(self, node: int, block: int, offset: int) -> None:
-        self._references.append(
-            Reference(node, Op.READ, Address(block, offset))
-        )
-
-    def write(self, node: int, block: int, offset: int, value: int) -> None:
-        self._references.append(
-            Reference(node, Op.WRITE, Address(block, offset), value)
-        )
-
-    def build(self) -> Trace:
-        return Trace(self._references, self.n_nodes, self.block_size_words)
-
-
-def trace_builder(
-    n_nodes: int, block_size_words: int, *, compiled: bool
-) -> CompiledTraceBuilder | ReferenceTraceBuilder:
-    """The builder a generator should emit into for the requested form.
-
-    Both builders expose the same ``read(node, block, offset)`` /
-    ``write(node, block, offset, value)`` surface, so a generator's RNG
-    draw order (and therefore its output stream) is identical whichever
-    form it targets.
-    """
-    if compiled:
-        return CompiledTraceBuilder(n_nodes, block_size_words)
-    return ReferenceTraceBuilder(n_nodes, block_size_words)
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.errors import ConfigurationError
-from repro.sim.ctrace import CompiledTrace, trace_builder
+from repro.sim.ctrace import CompiledTrace, CompiledTraceBuilder
 from repro.sim.trace import Trace
 from repro.types import NodeId
 from repro.workloads.markov import _check_tasks
@@ -65,7 +65,7 @@ def spinlock_trace(
         raise ConfigurationError(
             "lock and data must live in different blocks"
         )
-    builder = trace_builder(n_nodes, block_size_words, compiled=compiled)
+    builder = CompiledTraceBuilder(n_nodes, block_size_words)
     next_value = 1
     for acquisition in range(n_acquisitions):
         holder = tasks[acquisition % len(tasks)]
@@ -80,4 +80,5 @@ def spinlock_trace(
             next_value += 1
         builder.write(holder, lock_block, 0, next_value)
         next_value += 1
-    return builder.build()
+    trace = builder.build()
+    return trace if compiled else trace.to_trace()

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.errors import ConfigurationError
-from repro.sim.ctrace import CompiledTrace, trace_builder
+from repro.sim.ctrace import CompiledTrace, CompiledTraceBuilder
 from repro.sim.trace import Trace
 from repro.types import Address, NodeId
 
@@ -85,7 +85,7 @@ def jacobi_trace(
     owner_of_row = [
         tasks[min(row // band, n_tasks - 1)] for row in range(rows)
     ]
-    builder = trace_builder(n_nodes, block_size_words, compiled=compiled)
+    builder = CompiledTraceBuilder(n_nodes, block_size_words)
     next_value = 1
     for _ in range(sweeps):
         for task_index, task in enumerate(tasks):
@@ -106,7 +106,8 @@ def jacobi_trace(
                         task, address.block, address.offset, next_value
                     )
                     next_value += 1
-    return builder.build()
+    trace = builder.build()
+    return trace if compiled else trace.to_trace()
 
 
 def matrix_multiply_trace(
@@ -141,7 +142,7 @@ def matrix_multiply_trace(
     c_first = b_first + size * per_row
     n_tasks = len(tasks)
     band = size // n_tasks
-    builder = trace_builder(n_nodes, block_size_words, compiled=compiled)
+    builder = CompiledTraceBuilder(n_nodes, block_size_words)
     next_value = 1
     for task_index, task in enumerate(tasks):
         low = task_index * band
@@ -160,4 +161,5 @@ def matrix_multiply_trace(
                 c_word = c_row[j]
                 builder.write(task, c_word.block, c_word.offset, next_value)
                 next_value += 1
-    return builder.build()
+    trace = builder.build()
+    return trace if compiled else trace.to_trace()

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.errors import ConfigurationError
-from repro.sim.ctrace import CompiledTrace, trace_builder
+from repro.sim.ctrace import CompiledTrace, CompiledTraceBuilder
 from repro.sim.trace import Trace
 from repro.types import NodeId
 from repro.workloads.markov import _check_tasks
@@ -41,7 +41,7 @@ def producer_consumer_trace(
         raise ConfigurationError(
             f"n_rounds must be non-negative, got {n_rounds}"
         )
-    builder = trace_builder(n_nodes, block_size_words, compiled=compiled)
+    builder = CompiledTraceBuilder(n_nodes, block_size_words)
     next_value = 1
     for _ in range(n_rounds):
         for offset in range(block_size_words):
@@ -50,7 +50,8 @@ def producer_consumer_trace(
         for consumer in consumers:
             for offset in range(block_size_words):
                 builder.read(consumer, block, offset)
-    return builder.build()
+    trace = builder.build()
+    return trace if compiled else trace.to_trace()
 
 
 def migratory_trace(
@@ -68,14 +69,15 @@ def migratory_trace(
         raise ConfigurationError(
             f"n_rounds must be non-negative, got {n_rounds}"
         )
-    builder = trace_builder(n_nodes, block_size_words, compiled=compiled)
+    builder = CompiledTraceBuilder(n_nodes, block_size_words)
     next_value = 1
     for _ in range(n_rounds):
         for task in tasks:
             builder.read(task, block, 0)
             builder.write(task, block, 0, next_value)
             next_value += 1
-    return builder.build()
+    trace = builder.build()
+    return trace if compiled else trace.to_trace()
 
 
 def ping_pong_trace(
@@ -94,11 +96,12 @@ def ping_pong_trace(
         raise ConfigurationError(
             f"n_rounds must be non-negative, got {n_rounds}"
         )
-    builder = trace_builder(n_nodes, block_size_words, compiled=compiled)
+    builder = CompiledTraceBuilder(n_nodes, block_size_words)
     next_value = 1
     for _ in range(n_rounds):
         for task in (first, second):
             builder.write(task, block, 0, next_value)
             builder.read(task, block, 0)
             next_value += 1
-    return builder.build()
+    trace = builder.build()
+    return trace if compiled else trace.to_trace()

@@ -14,6 +14,7 @@ import pytest
 from repro.errors import CoherenceError, ExecutionError
 from repro.runner import Executor, RunJournal
 from repro.runner.executor import PERMANENT_ERROR_CLASSES
+from repro.workloads.markov import markov_block_trace
 
 from tests.runner.test_executor import make_cell
 
@@ -25,6 +26,18 @@ fork_only = pytest.mark.skipif(
 
 def raise_coherence(spec):
     raise CoherenceError("block 0 (node 1, mode GLOBAL_READ): forged")
+
+
+def build_zero_word_blocks(spec):
+    workload = spec.workload
+    return markov_block_trace(
+        workload.n_nodes,
+        list(workload.tasks),
+        workload.write_fraction,
+        workload.n_references,
+        block_size_words=0,
+        seed=workload.seed,
+    )
 
 
 def raise_transient(spec):
@@ -51,6 +64,26 @@ class TestClassification:
             if event["event"] == "task_failed"
         ]
         assert failures[0]["error_class"] == "CoherenceError"
+        assert failures[0]["attempts"] == 1
+
+    def test_bad_block_size_fails_after_one_attempt(self):
+        # A generator handed a block size below 1 raises the permanent
+        # ConfigurationError, not a retryable bare ValueError.
+        journal = RunJournal()
+        executor = Executor(
+            workers=0,
+            retries=1,
+            journal=journal,
+            task_fn=build_zero_word_blocks,
+        )
+        with pytest.raises(ExecutionError, match="ConfigurationError"):
+            executor.run([make_cell()])
+        assert journal.counts()["retried"] == 0
+        failures = [
+            event for event in journal.events
+            if event["event"] == "task_failed"
+        ]
+        assert failures[0]["error_class"] == "ConfigurationError"
         assert failures[0]["attempts"] == 1
 
     def test_transient_error_uses_the_retry_budget(self):

@@ -47,6 +47,12 @@ class TestWorkloadSpec:
         with pytest.raises(ConfigurationError, match="tasks"):
             make_workload(tasks=())
 
+    @pytest.mark.parametrize("kind", ["markov", "shared-structure", "random"])
+    @pytest.mark.parametrize("block_size_words", [0, -2])
+    def test_block_size_below_one_rejected(self, kind, block_size_words):
+        with pytest.raises(ConfigurationError, match="block_size_words"):
+            make_workload(kind=kind, block_size_words=block_size_words)
+
     def test_tasks_normalised_to_tuple(self):
         workload = make_workload(tasks=[0, 1])
         assert workload.tasks == (0, 1)

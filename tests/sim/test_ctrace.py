@@ -15,11 +15,11 @@ from repro.analysis.compare import default_factories
 from repro.errors import TraceError
 from repro.sim.ctrace import (
     CompiledTrace,
+    CompiledTraceBuilder,
     dump_compiled_trace,
     load_compiled_trace,
     parse_compiled_trace,
     save_compiled_trace,
-    trace_builder,
 )
 from repro.sim.engine import run_trace
 from repro.sim.system import System, SystemConfig
@@ -153,16 +153,21 @@ class TestValidation:
 
 class TestBuilders:
     def test_both_builders_emit_the_same_stream(self):
-        reference = trace_builder(4, 2, compiled=False)
-        compiled = trace_builder(4, 2, compiled=True)
-        for builder in (reference, compiled):
-            builder.write(0, 3, 1, 42)
-            builder.read(2, 3, 1)
-            builder.read(1, 0, 0)
-        assert compiled.build() == reference.build().compile()
+        # One column builder remains; the list form is its to_trace().
+        builder = CompiledTraceBuilder(4, 2)
+        builder.write(0, 3, 1, 42)
+        builder.read(2, 3, 1)
+        builder.read(1, 0, 0)
+        compiled = builder.build()
+        assert compiled.to_trace().references == [
+            Reference(0, Op.WRITE, Address(3, 1), 42),
+            Reference(2, Op.READ, Address(3, 1)),
+            Reference(1, Op.READ, Address(0, 0)),
+        ]
+        assert compiled.to_trace().compile() == compiled
 
     def test_builder_output_validates(self):
-        builder = trace_builder(2, 2, compiled=True)
+        builder = CompiledTraceBuilder(2, 2)
         builder.read(5, 0, 0)
         with pytest.raises(TraceError):
             builder.build()

@@ -224,3 +224,37 @@ class TestRandomTrace:
             random_trace(8, 10, write_fraction=2.0)
         with pytest.raises(ConfigurationError):
             random_trace(8, 10, nodes=[8])
+
+
+class TestBlockSizeValidation:
+    """A block size below 1 leaves no offset to draw: reject it up front.
+
+    The check runs before any draw, so it fires even for an empty trace
+    and raises the permanent ``ConfigurationError`` the executor does not
+    retry.
+    """
+
+    GENERATORS = {
+        "markov": lambda n, bsw: markov_block_trace(
+            8, [0, 1, 2], 0.3, n, block_size_words=bsw
+        ),
+        "shared-structure": lambda n, bsw: shared_structure_trace(
+            8, [0, 1, 2], 0.3, n, block_size_words=bsw
+        ),
+        "random": lambda n, bsw: random_trace(8, n, block_size_words=bsw),
+    }
+
+    @pytest.mark.parametrize("n_references", [0, 50])
+    @pytest.mark.parametrize("block_size_words", [0, -2])
+    @pytest.mark.parametrize("kind", sorted(GENERATORS))
+    def test_rejected_with_configuration_error(
+        self, kind, block_size_words, n_references
+    ):
+        with pytest.raises(ConfigurationError, match="block_size_words"):
+            self.GENERATORS[kind](n_references, block_size_words)
+
+    @pytest.mark.parametrize("kind", sorted(GENERATORS))
+    def test_one_word_blocks_still_draw(self, kind):
+        trace = self.GENERATORS[kind](50, 1)
+        assert len(trace) == 50
+        assert {ref.address.offset for ref in trace} == {0}
